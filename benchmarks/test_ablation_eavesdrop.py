@@ -1,9 +1,8 @@
 """Ablation — decrypting past traffic with an extracted key (§IV-C).
 
 Shape expectation: the extracted key decrypts a previously sniffed E0
-session; a wrong key does not.  Also micro-benchmarks the E0 keystream
-generator (the pure-Python bit-level cipher dominates attack replay
-cost).
+session; a wrong key does not.  Also checks that the E0 keystream
+generator yields the requested number of bytes.
 """
 
 from __future__ import annotations
@@ -52,8 +51,8 @@ def full_chain(seed: int = 300):
     }
 
 
-def test_ablation_eavesdrop_full_chain(benchmark, save_artifact):
-    outcome = benchmark.pedantic(full_chain, rounds=1, iterations=1)
+def test_ablation_eavesdrop_full_chain(save_artifact):
+    outcome = full_chain()
     save_artifact(
         "ablation_eavesdrop.txt",
         f"encrypted frames captured from the air: {outcome['captured_frames']}\n"
@@ -65,8 +64,8 @@ def test_ablation_eavesdrop_full_chain(benchmark, save_artifact):
     assert outcome["wrong_key_hit"] is False
 
 
-def test_e0_keystream_throughput(benchmark):
-    """Keystream bytes per second of the bit-level E0 implementation."""
+def test_e0_keystream_length():
+    """The bit-level E0 implementation yields the requested length."""
     addr = BdAddr.parse("aa:bb:cc:dd:ee:ff")
-    stream = benchmark(e0_keystream, b"\x11" * 16, addr, 42, 256)
+    stream = e0_keystream(b"\x11" * 16, addr, 42, 256)
     assert len(stream) == 256

@@ -1,7 +1,7 @@
-"""Ablation — the full kill chain, timed end to end.
+"""Ablation — the full kill chain, end to end.
 
 Paper §III's goal state: the attacker mines M's phone book and
-messages.  This benchmark times the composite attack — legitimate
+messages.  This benchmark runs the composite attack — legitimate
 bond, key extraction from the accessory, impersonation, PBAP + MAP
 exfiltration — and asserts the victim saw zero pairing UI throughout.
 """
@@ -43,8 +43,8 @@ def full_kill_chain(seed: int = 600):
     return report
 
 
-def test_ablation_full_kill_chain(benchmark, save_artifact):
-    report = benchmark.pedantic(full_kill_chain, rounds=1, iterations=1)
+def test_ablation_full_kill_chain(save_artifact):
+    report = full_kill_chain()
     assert report.success, report.notes
     assert len(report.phonebook) == len(CONTACTS)
     assert len(report.messages) == len(MESSAGES)

@@ -32,18 +32,16 @@ def knobbed_session(seed: int = 500, min_key_size_on_c: int = 1):
     return world, m, c, capture, encryption
 
 
-def test_ablation_knob_brute_force(benchmark, save_artifact):
+def test_ablation_knob_brute_force(save_artifact):
     world, m, c, capture, encryption = knobbed_session()
     assert encryption.success
 
-    result = benchmark.pedantic(
-        brute_force_low_entropy_session,
-        args=(capture, m.bd_addr, m.name, 1),
-        kwargs={
-            "plaintext_predicate": lambda ps: any(MARKER in p for p in ps)
-        },
-        rounds=1,
-        iterations=1,
+    result = brute_force_low_entropy_session(
+        capture,
+        m.bd_addr,
+        m.name,
+        1,
+        plaintext_predicate=lambda ps: any(MARKER in p for p in ps),
     )
     assert result is not None
     save_artifact(
@@ -56,14 +54,14 @@ def test_ablation_knob_brute_force(benchmark, save_artifact):
     )
 
 
-def test_ablation_knob_mitigation_refuses(benchmark, save_artifact):
+def test_ablation_knob_mitigation_refuses(save_artifact):
     def run():
         _, _, _, _, encryption = knobbed_session(
             seed=501, min_key_size_on_c=7
         )
         return encryption
 
-    encryption = benchmark.pedantic(run, rounds=1, iterations=1)
+    encryption = run()
     assert encryption.done and not encryption.success
     save_artifact(
         "ablation_knob_mitigation.txt",

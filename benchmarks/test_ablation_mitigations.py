@@ -1,8 +1,7 @@
 """Ablation — both attacks re-run under the §VII mitigations.
 
-Shape expectation: each mitigation defeats its attack, none breaks
-legitimate operation, and the dump filter's per-packet overhead is
-small (it only inspects headers).
+Shape expectation: each mitigation defeats its attack and none breaks
+legitimate operation.
 """
 
 from __future__ import annotations
@@ -61,10 +60,8 @@ def legitimate_pairing_with_guard(seed: int = 202):
     return operation, m
 
 
-def test_mitigation_dump_filter_stops_extraction(benchmark, save_artifact):
-    leaked, redactions = benchmark.pedantic(
-        extraction_with_filtered_dump, rounds=1, iterations=1
-    )
+def test_mitigation_dump_filter_stops_extraction(save_artifact):
+    leaked, redactions = extraction_with_filtered_dump()
     save_artifact(
         "ablation_mitigation_dump_filter.txt",
         f"link key leaked through filtered dump: {leaked}\n"
@@ -74,10 +71,8 @@ def test_mitigation_dump_filter_stops_extraction(benchmark, save_artifact):
     assert redactions >= 1
 
 
-def test_mitigation_guard_stops_page_blocking(benchmark, save_artifact):
-    report, m = benchmark.pedantic(
-        page_blocking_with_guard, rounds=1, iterations=1
-    )
+def test_mitigation_guard_stops_page_blocking(save_artifact):
+    report, m = page_blocking_with_guard()
     save_artifact(
         "ablation_mitigation_guard.txt",
         f"attack paired: {report.paired}\n"
@@ -87,15 +82,13 @@ def test_mitigation_guard_stops_page_blocking(benchmark, save_artifact):
     assert m.host.security.guard_rejections >= 1
 
 
-def test_mitigation_guard_no_false_positive(benchmark):
-    operation, m = benchmark.pedantic(
-        legitimate_pairing_with_guard, rounds=1, iterations=1
-    )
+def test_mitigation_guard_no_false_positive():
+    operation, m = legitimate_pairing_with_guard()
     assert operation.success
     assert m.host.security.guard_rejections == 0
 
 
-def test_mitigation_secure_hci_device(benchmark, save_artifact):
+def test_mitigation_secure_hci_device(save_artifact):
     """The §VII-A long-term fix deployed device-wide: the full USB
     extraction attack fails against a secure-HCI Windows victim."""
     import dataclasses
@@ -113,7 +106,7 @@ def test_mitigation_secure_hci_device(benchmark, save_artifact):
         bond(world, c, m)
         return LinkKeyExtractionAttack(world, a, c, m).run(validate=False)
 
-    report = benchmark.pedantic(run, rounds=1, iterations=1)
+    report = run()
     save_artifact(
         "ablation_mitigation_secure_hci.txt",
         "USB extraction vs a secure-HCI (encrypted payload) victim\n"
@@ -124,17 +117,18 @@ def test_mitigation_secure_hci_device(benchmark, save_artifact):
     assert not report.extraction_success
 
 
-def test_overhead_dump_filter_per_packet(benchmark):
-    """Micro-benchmark: header inspection + redaction per packet."""
+def test_dump_filter_redacts_one_packet():
+    """Header inspection redacts the link key from one packet."""
     raw = cmd.LinkKeyRequestReply(bd_addr=ADDR, link_key=KEY).to_h4_bytes()
-    safe, redacted = benchmark(redact_record, raw)
+    safe, redacted = redact_record(raw)
     assert redacted and safe != raw
 
 
-def test_overhead_plain_dump_append(benchmark):
-    """Baseline for the filter overhead comparison: a plain append."""
+def test_plain_dump_leaks_the_key():
+    """Without the filter, the same packet leaks the key into the dump."""
     from repro.transport.base import Direction
 
     dump = HciDump()
     raw = cmd.LinkKeyRequestReply(bd_addr=ADDR, link_key=KEY).to_h4_bytes()
-    benchmark(dump.writer.append, 0.0, Direction.HOST_TO_CONTROLLER, raw)
+    dump.writer.append(0.0, Direction.HOST_TO_CONTROLLER, raw)
+    assert [f.link_key for f in extract_link_keys(dump.to_btsnoop_bytes())] == [KEY]

@@ -42,12 +42,10 @@ def sniff_legacy_pairing(seed: int = 400):
     return transcript_from_capture(capture, "M", m.bd_addr, c.bd_addr), truth
 
 
-def test_ablation_pin_crack(benchmark, save_artifact):
+def test_ablation_pin_crack(save_artifact):
     transcript, truth = sniff_legacy_pairing()
 
-    result = benchmark.pedantic(
-        crack_pin, args=(transcript, numeric_pins(4)), rounds=1, iterations=1
-    )
+    result = crack_pin(transcript, numeric_pins(4))
 
     assert result is not None
     assert result.pin == PIN.encode()
@@ -65,10 +63,10 @@ def test_ablation_pin_crack(benchmark, save_artifact):
     )
 
 
-def test_pin_candidate_throughput(benchmark):
-    """E22+E21+E1 evaluations per second (the search's unit cost)."""
+def test_pin_candidate_step_yields_key():
+    """One E22+E21+E1 evaluation (the search's unit step) yields a key."""
     from repro.attacks.pin_crack import candidate_key
 
     transcript, _ = sniff_legacy_pairing(seed=401)
-    key = benchmark(candidate_key, transcript, b"0000")
+    key = candidate_key(transcript, b"0000")
     assert len(key.value) == 16

@@ -28,10 +28,8 @@ def install_fake_bonding(seed: int = 60):
     return a, m.bd_addr, config_text
 
 
-def test_fig10_fake_bonding_info(benchmark, save_artifact):
-    device, m_addr, config_text = benchmark.pedantic(
-        install_fake_bonding, rounds=1, iterations=1
-    )
+def test_fig10_fake_bonding_info(save_artifact):
+    device, m_addr, config_text = install_fake_bonding()
     save_artifact("fig10_fake_bonding.txt", config_text)
 
     # The file holds exactly the Fig. 10 ingredients.

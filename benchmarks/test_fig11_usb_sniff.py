@@ -41,10 +41,8 @@ def run_cross_validation(seed: int = 65):
     return usb_keys, dump_key, hex_excerpt
 
 
-def test_fig11_usb_sniff_matches_peer_dump(benchmark, save_artifact):
-    usb_keys, dump_key, hex_excerpt = benchmark.pedantic(
-        run_cross_validation, rounds=1, iterations=1
-    )
+def test_fig11_usb_sniff_matches_peer_dump(save_artifact):
+    usb_keys, dump_key, hex_excerpt = run_cross_validation()
     assert dump_key is not None
     assert usb_keys == {dump_key}, (usb_keys, dump_key)
 

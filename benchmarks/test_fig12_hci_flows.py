@@ -33,10 +33,8 @@ def capture_blocked(seed: int = 71):
     return report.m_dump
 
 
-def test_fig12_hci_flows(benchmark, save_artifact):
-    normal, blocked = benchmark.pedantic(
-        lambda: (capture_normal(), capture_blocked()), rounds=1, iterations=1
-    )
+def test_fig12_hci_flows(save_artifact):
+    normal, blocked = capture_normal(), capture_blocked()
     normal_table = render_dump_table(normal.entries(), max_rows=14)
     blocked_table = render_dump_table(blocked.entries(), max_rows=14)
     save_artifact(

@@ -57,8 +57,8 @@ def run_supervision_cases() -> List[Tuple[float, float, float, bool]]:
     return outcomes
 
 
-def test_fig13_ploc_timing(benchmark, save_artifact):
-    sweep = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+def test_fig13_ploc_timing(save_artifact):
+    sweep = run_sweep()
     lines = ["Fig. 13: PLOC hold vs victim pairing delay", ""]
     lines.append(f"{'hold (s)':>9} {'pairing at (s)':>15} {'MITM success'}")
     for hold, delay, success in sweep:
@@ -71,8 +71,8 @@ def test_fig13_ploc_timing(benchmark, save_artifact):
     ), "PLOC must capture every pairing initiated inside the hold window"
 
 
-def test_fig13_supervision_ablation(benchmark, save_artifact):
-    cases = benchmark.pedantic(run_supervision_cases, rounds=1, iterations=1)
+def test_fig13_supervision_ablation(save_artifact):
+    cases = run_supervision_cases()
     lines = [
         "PLOC vs link supervision timeout (the exception the paper",
         "handles with dummy SDP traffic)",

@@ -2,8 +2,7 @@
 
 Regenerates both halves of the figure as HCI flows: (a) the full SSP
 transaction for non-bonded devices; (b) the LMP-authentication-only
-flow for bonded devices.  The benchmark measures wall-clock cost of a
-complete simulated SSP pairing (ECDH + commitments + key derivation).
+flow for bonded devices.
 """
 
 from __future__ import annotations
@@ -47,8 +46,8 @@ def bonded_reauth(seed: int = 42):
     return dump
 
 
-def test_fig2a_fresh_ssp_pairing(benchmark, save_artifact):
-    dump = benchmark.pedantic(fresh_pairing, rounds=3, iterations=1)
+def test_fig2a_fresh_ssp_pairing(save_artifact):
+    dump = fresh_pairing()
     table = render_dump_table(dump.entries())
     save_artifact("fig2a_ssp_pairing_flow.txt", table)
     names = [entry.packet.display_name for entry in dump.entries()]
@@ -65,8 +64,8 @@ def test_fig2a_fresh_ssp_pairing(benchmark, save_artifact):
         assert required in names, required
 
 
-def test_fig2b_bonded_lmp_only(benchmark, save_artifact):
-    dump = benchmark.pedantic(bonded_reauth, rounds=3, iterations=1)
+def test_fig2b_bonded_lmp_only(save_artifact):
+    dump = bonded_reauth()
     table = render_dump_table(dump.entries())
     save_artifact("fig2b_bonded_reauth_flow.txt", table)
     names = [entry.packet.display_name for entry in dump.entries()]

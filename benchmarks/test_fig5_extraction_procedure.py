@@ -63,15 +63,15 @@ def run_stepwise(seed: int = 77):
     }
 
 
-def test_fig5_stepwise_procedure(benchmark, save_artifact):
-    outcome = benchmark.pedantic(run_stepwise, rounds=1, iterations=1)
+def test_fig5_stepwise_procedure(save_artifact):
+    outcome = run_stepwise()
     save_artifact("fig5_extraction_steps.txt", "\n".join(outcome["log"]))
     assert outcome["timeout_not_failure"]
     assert outcome["key_survived"]
     assert outcome["extracted_ok"]
 
 
-def test_fig5_step7_impersonation(benchmark, save_artifact):
+def test_fig5_step7_impersonation(save_artifact):
     """Step 7 measured end-to-end through the attack driver."""
 
     def full_attack():
@@ -80,7 +80,7 @@ def test_fig5_step7_impersonation(benchmark, save_artifact):
         bond(world, c, m)
         return LinkKeyExtractionAttack(world, a, c, m).run(validate=True)
 
-    report = benchmark.pedantic(full_attack, rounds=1, iterations=1)
+    report = full_attack()
     save_artifact(
         "fig5_step7_validation.txt",
         "step 7: impersonation of C toward M over PAN\n"

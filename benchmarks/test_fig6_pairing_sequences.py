@@ -36,8 +36,8 @@ def blocked_pairing(seed: int = 51):
     return report
 
 
-def test_fig6a_normal_pairing_sequence(benchmark, save_artifact):
-    dump = benchmark.pedantic(normal_pairing, rounds=1, iterations=1)
+def test_fig6a_normal_pairing_sequence(save_artifact):
+    dump = normal_pairing()
     save_artifact(
         "fig6a_normal_pairing.txt", render_dump_table(dump.entries())
     )
@@ -50,8 +50,8 @@ def test_fig6a_normal_pairing_sequence(benchmark, save_artifact):
     assert "HCI_Connection_Request" not in names  # nobody paged M
 
 
-def test_fig6b_page_blocked_sequence(benchmark, save_artifact):
-    report = benchmark.pedantic(blocked_pairing, rounds=1, iterations=1)
+def test_fig6b_page_blocked_sequence(save_artifact):
+    report = blocked_pairing()
     save_artifact(
         "fig6b_page_blocked_pairing.txt",
         render_dump_table(report.m_dump.entries()),

@@ -25,8 +25,8 @@ def build_both_matrices():
     )
 
 
-def test_fig7_iocap_mapping(benchmark, save_artifact):
-    old_table, new_table = benchmark(build_both_matrices)
+def test_fig7_iocap_mapping(save_artifact):
+    old_table, new_table = build_both_matrices()
     save_artifact("fig7_iocap_mapping.txt", old_table + "\n\n" + new_table)
 
     dyn = IoCapability.DISPLAY_YES_NO

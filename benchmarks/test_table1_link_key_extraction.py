@@ -67,8 +67,8 @@ def render(rows) -> str:
     return "\n".join(lines)
 
 
-def test_table1_link_key_extraction(benchmark, save_artifact):
-    rows = benchmark.pedantic(run_table1, rounds=1, iterations=1)
+def test_table1_link_key_extraction(save_artifact):
+    rows = run_table1()
     save_artifact("table1_link_key_extraction.txt", render(rows))
 
     assert len(rows) == 9

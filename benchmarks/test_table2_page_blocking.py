@@ -84,8 +84,8 @@ def render(rows, trials: int) -> str:
     return "\n".join(lines)
 
 
-def test_table2_page_blocking(benchmark, save_artifact):
-    rows = benchmark.pedantic(run_table2, args=(TRIALS,), rounds=1, iterations=1)
+def test_table2_page_blocking(save_artifact):
+    rows = run_table2(TRIALS)
     save_artifact("table2_page_blocking.txt", render(rows, TRIALS))
 
     assert len(rows) == 7

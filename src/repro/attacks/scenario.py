@@ -11,9 +11,8 @@ one radio medium, one trace log, and the paper's three-role cast:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.devices.catalog import (
     LG_VELVET,
@@ -77,10 +76,8 @@ class World:
 class WorldConfig:
     """Everything :func:`build_world` needs, in one value.
 
-    Replaces the old ``build_world(seed, registry, max_trace_records)``
-    positional sprawl: a config travels whole through campaign specs,
-    worker processes and cache keys, and grows fields without breaking
-    every callsite.
+    A config travels whole through campaign specs, worker processes and
+    cache keys, and grows fields without breaking every callsite.
 
     ``registry`` defaults to the process-wide metrics registry so that
     counters aggregate across trial loops; pass an isolated
@@ -104,44 +101,10 @@ class WorldConfig:
     population: Optional[Any] = None
 
 
-def build_world(
-    config: Union[WorldConfig, int, None] = None,
-    registry: Optional[MetricsRegistry] = None,
-    max_trace_records: Optional[int] = None,
-    *,
-    seed: Optional[int] = None,
-) -> World:
-    """An empty world with a seeded RNG.
-
-    Canonical form: ``build_world(WorldConfig(seed=42))``.  The legacy
-    ``build_world(seed, registry, max_trace_records)`` spelling (bare
-    int / keyword sprawl) still works but emits a
-    ``DeprecationWarning``.
-    """
-    if not isinstance(config, WorldConfig):
-        if config is not None and seed is not None:
-            raise TypeError("pass either a positional seed or seed=, not both")
-        legacy_seed = config if config is not None else seed
-        if (
-            legacy_seed is not None
-            or registry is not None
-            or max_trace_records is not None
-        ):
-            warnings.warn(
-                "build_world(seed, registry, max_trace_records) is "
-                "deprecated; pass build_world(WorldConfig(...)) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        config = WorldConfig(
-            seed=legacy_seed if legacy_seed is not None else 0,
-            registry=registry,
-            max_trace_records=max_trace_records,
-        )
-    elif registry is not None or max_trace_records is not None or seed is not None:
-        raise TypeError(
-            "build_world(WorldConfig(...)) takes no other arguments"
-        )
+def build_world(config: Optional[WorldConfig] = None) -> World:
+    """An empty world with a seeded RNG: ``build_world(WorldConfig(seed=42))``."""
+    if config is None:
+        config = WorldConfig()
     simulator = Simulator()
     rng = RngRegistry(config.seed)
     tracer = Tracer(max_records=config.max_trace_records)

@@ -1,12 +1,12 @@
 """Campaign-produced captures: seeded btsnoop corpora for the service.
 
-The load generator (``blap service loadgen``) and the CI smoke job
-need realistic traffic without shipping binary fixtures: these helpers
-run the same seeded worlds the detection campaigns use and hand back
-the victim-side btsnoop bytes — an attack capture carries the BLAP
-page-blocking signature, a benign capture is an ordinary pairing.
-Every capture is a pure function of its seed, so a loadgen corpus is
-reproducible run to run.
+The ``service-ingest`` workload of ``python3 bench/run.py``, the
+service tests and the CI smoke job need realistic traffic without
+shipping binary fixtures: these helpers run the same seeded worlds the
+detection campaigns use and hand back the victim-side btsnoop bytes —
+an attack capture carries the BLAP page-blocking signature, a benign
+capture is an ordinary pairing.  Every capture is a pure function of
+its seed, so a corpus is reproducible run to run.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def produce_captures(
     kind: str = "mixed",
     seed_base: int = 0,
 ) -> List[bytes]:
-    """A corpus of ``count`` captures for loadgen clients to replay.
+    """A corpus of ``count`` captures for streaming clients to replay.
 
     ``kind`` is ``"attack"``, ``"benign"`` or ``"mixed"``
     (alternating).  Seeds offset from the campaign defaults by

@@ -36,10 +36,9 @@ Android bug report) and on raw USB analyzer streams:
   pagination and aggregate counts over the store.
 * ``blap serve`` — a dependency-free HTTP JSON API and live HTML view
   over the store (``/api/runs``, ``/api/runs/<id>/events``, ...).
-* ``blap service {serve,loadgen,sessions}`` — the detection ingest
-  service: live JSONL HCI streams over WebSockets and btsnoop capture
-  uploads, scored online with verdicts identical to ``detect scan``;
-  the load generator benches sustained ingest throughput.
+* ``blap service {serve,sessions}`` — the detection ingest service:
+  live JSONL HCI streams over WebSockets and btsnoop capture uploads,
+  scored online with verdicts identical to ``detect scan``.
 * ``blap report`` — render the Markdown/HTML/JSON run report (Table
   I/II vs. the paper, Wilson intervals, digest quantiles, self-time
   attribution) from cached campaign results — no re-simulation on a
@@ -48,10 +47,8 @@ Android bug report) and on raw USB analyzer streams:
   profiled campaigns with self-time trees and collapsed flamegraph
   stacks (plus opt-in wall-clock cProfile sampling), byte-identical
   per seed, diffable across revisions.
-* ``blap bench {compare,history}`` — the perf trajectory: diff the
-  current ``BENCH_*.json`` numbers against a baseline directory
-  (nonzero exit on regression, self-time culprit hints) and query
-  ``BENCH_HISTORY.jsonl``.
+
+Wall-clock speed is measured outside the package, by ``bench/run.py``.
 """
 
 from __future__ import annotations
@@ -1164,53 +1161,6 @@ def _cmd_service_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_service_loadgen(args: argparse.Namespace) -> int:
-    from repro.campaign.captures import produce_captures
-    from repro.core.bench import record_bench
-    from repro.service.loadgen import run_loadgen
-
-    if args.capture:
-        captures = []
-        for path in args.capture:
-            with open(path, "rb") as handle:
-                captures.append(handle.read())
-    else:
-        captures = produce_captures(
-            count=args.captures, kind=args.kind, seed_base=args.seed_base
-        )
-    report = run_loadgen(
-        captures,
-        sessions=args.sessions,
-        tenants=args.tenants,
-        url=args.url,
-    )
-    payload = report.to_dict()
-    if args.bench:
-        record_bench(
-            "service",
-            "loadgen",
-            {
-                "sessions": report.sessions,
-                "events": report.events,
-                "dropped_events": report.dropped_events,
-                "wall_s": report.wall_s,
-                "ingest_events_per_s": report.events_per_s,
-            },
-        )
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(
-            f"{report.sessions} sessions across {report.tenants} tenants: "
-            f"{report.events} events in {report.wall_s:.3f}s "
-            f"({report.events_per_s:,.0f} events/s), "
-            f"{report.alerts} alerts, "
-            f"{report.dropped_events} dropped, "
-            f"{report.failures} failures"
-        )
-    return 0 if report.failures == 0 else 1
-
-
 def _cmd_service_sessions(args: argparse.Namespace) -> int:
     from repro.service.client import fetch_json
 
@@ -1250,7 +1200,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         seed_base=args.seed_base,
         table1_seed_base=args.table1_seed_base,
         roc_path=args.roc,
-        bench_directory=args.bench_dir,
         run_dir=args.run_dir,
         store_path=args.store_db,
         store_run_id=args.store_run,
@@ -1263,96 +1212,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"wrote report to {args.output}")
     else:
         print(text, end="")
-    return 0
-
-
-# ------------------------------------------------------------------- bench
-
-
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.core.bench import (
-        bench_dir,
-        bench_spans,
-        compare_bench_dirs,
-        iter_bench_files,
-        load_bench,
-    )
-
-    current = Path(args.current) if args.current else bench_dir()
-    baseline = Path(args.baseline)
-    current_files = iter_bench_files(current)
-    if not current_files:
-        print(f"blap: no BENCH_*.json files in {current}", file=sys.stderr)
-        return 2
-    compared = [
-        path.name for path in current_files if (baseline / path.name).exists()
-    ]
-    if not compared:
-        # First run / rotated artifacts: nothing to gate against.
-        print(
-            f"no baseline bench files under {baseline}; nothing to compare"
-        )
-        return 0
-    regressions = compare_bench_dirs(
-        current, baseline, threshold=args.threshold
-    )
-    if args.json:
-        print(
-            json.dumps(
-                [vars(regression) for regression in regressions], indent=1
-            )
-        )
-    else:
-        print(
-            f"compared {len(compared)} bench file(s) at threshold "
-            f"{args.threshold:.0%}: {', '.join(compared)}"
-        )
-        spans_cache: Dict[str, Dict[str, List[str]]] = {}
-        for regression in regressions:
-            print(f"REGRESSION {regression}")
-            # The recorder may have annotated the section with the top
-            # self-time span types — name the culprit, not just the number.
-            if regression.bench not in spans_cache:
-                spans_cache[regression.bench] = bench_spans(
-                    load_bench(current / f"BENCH_{regression.bench}.json")
-                )
-            culprits = spans_cache[regression.bench].get(regression.section)
-            if culprits:
-                print(f"  top self-time spans: {', '.join(culprits)}")
-        if not regressions:
-            print("no regressions")
-    return 1 if regressions else 0
-
-
-def _cmd_bench_history(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.core.bench import read_history
-
-    directory = Path(args.dir) if args.dir else None
-    entries = read_history(directory, bench=args.bench or None)
-    if args.section:
-        entries = [
-            entry for entry in entries if entry.get("section") == args.section
-        ]
-    if not entries:
-        print("no bench history entries", file=sys.stderr)
-        return 1
-    for entry in entries[-args.last:]:
-        values = " ".join(
-            f"{key}={value:g}" if isinstance(value, float) else f"{key}={value}"
-            for key, value in sorted(entry.get("values", {}).items())
-        )
-        run = f" run={entry['run']}" if entry.get("run") else ""
-        spans = entry.get("top_self_spans") or []
-        note = f" spans={','.join(spans)}" if spans else ""
-        print(
-            f"{entry.get('ts', '?'):<20} "
-            f"{entry.get('bench', '?')}/{entry.get('section', '?')}{run} "
-            f"{values}{note}"
-        )
     return 0
 
 
@@ -1807,10 +1666,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="include a `blap detect roc --json` artifact",
     )
     report.add_argument(
-        "--bench-dir", default=None, metavar="DIR",
-        help="include BENCH_*.json numbers from this directory",
-    )
-    report.add_argument(
         "--run-dir", default=None, metavar="runs/ID",
         help="include a run's telemetry (ingested through the store)",
     )
@@ -1838,48 +1693,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("-o", "--output", default=None, help="output file")
     _add_campaign_common(report)
     report.set_defaults(func=_cmd_report)
-
-    bench = sub.add_parser(
-        "bench", help="benchmark trajectory: compare and history"
-    )
-    bsub = bench.add_subparsers(dest="bench_command", required=True)
-
-    bcompare = bsub.add_parser(
-        "compare",
-        help="diff current BENCH_*.json against a baseline directory "
-        "(exit 1 on regression)",
-    )
-    bcompare.add_argument(
-        "baseline", help="directory holding the baseline BENCH_*.json files"
-    )
-    bcompare.add_argument(
-        "--current", default=None,
-        help="directory with current bench files (default: $BLAP_BENCH_DIR or .)",
-    )
-    bcompare.add_argument(
-        "--threshold", type=float, default=0.25,
-        help="tolerated relative change (0.25 = 25%%)",
-    )
-    bcompare.add_argument("--json", action="store_true", help="machine output")
-    bcompare.set_defaults(func=_cmd_bench_compare)
-
-    bhistory = bsub.add_parser(
-        "history", help="print BENCH_HISTORY.jsonl entries"
-    )
-    bhistory.add_argument(
-        "--bench", default=None, help="only this bench (e.g. campaign)"
-    )
-    bhistory.add_argument(
-        "--section", default=None, help="only this section"
-    )
-    bhistory.add_argument(
-        "--last", type=int, default=20, help="show the last N entries"
-    )
-    bhistory.add_argument(
-        "--dir", default=None,
-        help="bench directory (default: $BLAP_BENCH_DIR or .)",
-    )
-    bhistory.set_defaults(func=_cmd_bench_history)
 
     profile = sub.add_parser(
         "profile",
@@ -2164,48 +1977,6 @@ def build_parser() -> argparse.ArgumentParser:
         "-v", "--verbose", action="store_true", help="log sessions"
     )
     svserve.set_defaults(func=_cmd_service_serve)
-
-    svload = svsub.add_parser(
-        "loadgen",
-        help="replay campaign-produced captures as N concurrent "
-        "synthetic clients",
-    )
-    svload.add_argument(
-        "--sessions", type=int, default=100,
-        help="concurrent streaming sessions",
-    )
-    svload.add_argument(
-        "--tenants", type=int, default=4,
-        help="tenants to spread the sessions across",
-    )
-    svload.add_argument(
-        "--captures", type=int, default=2,
-        help="captures to synthesise for the corpus",
-    )
-    svload.add_argument(
-        "--capture", action="append", default=None, metavar="FILE",
-        help="replay this btsnoop file instead of synthesising "
-        "(repeatable)",
-    )
-    svload.add_argument(
-        "--kind", default="mixed", choices=["attack", "benign", "mixed"],
-        help="synthesised corpus flavour",
-    )
-    svload.add_argument(
-        "--seed-base", type=int, default=0,
-        help="seed offset for the synthesised corpus",
-    )
-    svload.add_argument(
-        "--url", default=None,
-        help="target a running server (default: self-host in-process)",
-    )
-    svload.add_argument(
-        "--bench", action="store_true",
-        help="record throughput to BENCH_service.json / "
-        "BENCH_HISTORY.jsonl",
-    )
-    svload.add_argument("--json", action="store_true", help="machine output")
-    svload.set_defaults(func=_cmd_service_loadgen)
 
     svsessions = svsub.add_parser(
         "sessions", help="list a running server's active sessions"

@@ -31,7 +31,6 @@ from repro.faults.spec import FaultPlan, FaultPlanError, FaultSpec
 
 if TYPE_CHECKING:
     from repro.attacks.scenario import World
-    from repro.phy.medium import RadioMedium
 
 __all__ = [
     "FaultPlan",
@@ -44,7 +43,6 @@ __all__ = [
     "apply_fault_plan",
     "get_point",
     "point_names",
-    "set_medium_loss_rate",
 ]
 
 
@@ -73,33 +71,3 @@ def apply_fault_plan(world: "World", plan) -> "InjectorRegistry":
     if coerced is not None:
         world.faults.extend(coerced)
     return world.faults
-
-
-def set_medium_loss_rate(medium: "RadioMedium", probability: float) -> None:
-    """Back-compat shim behind the deprecated ``RadioMedium.loss_rate``.
-
-    Builds the equivalent probabilistic ``phy.frame_loss``
-    :class:`FaultSpec` on a medium-private registry.  The shim draws
-    from its own RNG stream prefix so it never perturbs a real fault
-    plan attached to the same world.
-    """
-    if medium._loss_shim is not None:
-        medium._loss_shim.detach_medium(medium)
-        medium._loss_shim = None
-    if probability > 0.0:
-        registry = InjectorRegistry(
-            medium.simulator,
-            medium._rng_registry,
-            medium.tracer,
-            stream_prefix="faults-shim",
-        )
-        registry.extend(
-            FaultPlan(
-                specs=(
-                    FaultSpec("phy.frame_loss", probability=probability),
-                ),
-                name="loss-rate-shim",
-            )
-        )
-        registry.attach_medium(medium)
-        medium._loss_shim = registry

@@ -85,13 +85,11 @@ class InjectorRegistry:
         tracer: "Tracer",
         metrics: Optional["MetricsRegistry"] = None,
         spans: Optional["SpanTracker"] = None,
-        stream_prefix: str = "faults",
     ) -> None:
         self.simulator = simulator
         self.rng = rng
         self.tracer = tracer
         self.spans = spans
-        self.stream_prefix = stream_prefix
         if metrics is None:
             from repro.obs.metrics import get_global_registry
 
@@ -119,7 +117,7 @@ class InjectorRegistry:
             index = len(self.specs)
             self.specs.append(spec)
             self._streams.append(
-                self.rng.stream(f"{self.stream_prefix}:{index}:{spec.point}")
+                self.rng.stream(f"faults:{index}:{spec.point}")
             )
             point = get_point(spec.point)
             if point.scope == "medium":
@@ -135,11 +133,6 @@ class InjectorRegistry:
         if medium not in self._media:
             self._media.append(medium)
             medium.add_frame_fault_filter(self._on_air_frame)
-
-    def detach_medium(self, medium: "RadioMedium") -> None:
-        if medium in self._media:
-            self._media.remove(medium)
-            medium.remove_frame_fault_filter(self._on_air_frame)
 
     def on_device_added(self, role: str, device: "Device") -> None:
         """World callback: arm device-scope specs for a new device."""

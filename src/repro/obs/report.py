@@ -19,8 +19,7 @@ Markdown (or HTML) document:
   to the root spans' wall time instead of double-counting parents the
   way a wall-total "slowest spans" table does;
 * optional sections for ROC artifacts (``blap detect roc --json``
-  output), bench numbers (``BENCH_*.json``) and a run's
-  ``telemetry.jsonl``.
+  output) and a run's ``telemetry.jsonl``.
 
 Everything renders from cached results and recorded artifacts — with a
 warm campaign cache, ``blap report`` re-simulates nothing and its
@@ -299,7 +298,6 @@ def collect_attribution(
 def render_markdown(
     data: Mapping[str, Any],
     roc: Optional[Mapping[str, Any]] = None,
-    bench: Optional[Mapping[str, Mapping[str, Any]]] = None,
     telemetry: Optional[Sequence[Mapping[str, Any]]] = None,
     top_spans: int = 10,
 ) -> str:
@@ -461,31 +459,6 @@ def render_markdown(
                 f"| {_fmt_s(latency) + 's' if latency is not None else '-'} |"
             )
 
-    if bench:
-        out("")
-        out("## Benchmark numbers")
-        for name in sorted(bench):
-            sections = bench[name]
-            if not isinstance(sections, Mapping):
-                continue
-            out("")
-            out(f"### BENCH_{name}")
-            out("")
-            out("| Section | Key | Value |")
-            out("| --- | --- | --- |")
-            for section in sorted(sections):
-                values = sections[section]
-                if not isinstance(values, Mapping):
-                    continue
-                for key in sorted(values):
-                    value = values[key]
-                    rendered = (
-                        _fmt_s(value)
-                        if isinstance(value, float)
-                        else str(value)
-                    )
-                    out(f"| {section} | {key} | {rendered} |")
-
     if telemetry:
         records = list(telemetry)
         done = len(records)
@@ -525,7 +498,6 @@ def render_markdown(
 def render_json(
     data: Mapping[str, Any],
     roc: Optional[Mapping[str, Any]] = None,
-    bench: Optional[Mapping[str, Mapping[str, Any]]] = None,
     telemetry: Optional[Sequence[Mapping[str, Any]]] = None,
 ) -> str:
     """Machine-readable report: the same inputs the Markdown renderer
@@ -544,8 +516,6 @@ def render_json(
     }
     if roc is not None:
         payload["roc"] = roc
-    if bench is not None:
-        payload["bench"] = bench
     if telemetry is not None:
         records = [dict(record) for record in telemetry]
         payload["telemetry"] = {
@@ -680,7 +650,6 @@ def generate_report(
     seed_base: int = 2000,
     table1_seed_base: int = 1000,
     roc_path: Optional[Union[str, Path]] = None,
-    bench_directory: Optional[Union[str, Path]] = None,
     run_dir: Optional[Union[str, Path]] = None,
     store_path: Optional[Union[str, Path]] = None,
     store_run_id: Optional[str] = None,
@@ -707,20 +676,12 @@ def generate_report(
     if roc_path is not None:
         with open(roc_path, "r", encoding="utf-8") as handle:
             roc = json.load(handle)
-    bench = None
-    if bench_directory is not None:
-        from repro.core.bench import iter_bench_files, load_bench
-
-        bench = {
-            path.stem[len("BENCH_"):]: load_bench(path)
-            for path in iter_bench_files(bench_directory)
-        }
     telemetry = telemetry_from_store(
         run_dir=run_dir, store_path=store_path, run_id=store_run_id
     )
     if fmt == "json":
-        return render_json(data, roc=roc, bench=bench, telemetry=telemetry)
+        return render_json(data, roc=roc, telemetry=telemetry)
     markdown = render_markdown(
-        data, roc=roc, bench=bench, telemetry=telemetry, top_spans=top_spans
+        data, roc=roc, telemetry=telemetry, top_spans=top_spans
     )
     return render_html(markdown) if fmt == "html" else markdown

@@ -16,8 +16,7 @@ Built on the obs layer's span instrumentation, this package answers
   runner share to land ``profile/`` artifacts in a run directory.
 
 Surfaces: ``blap profile run|diff|flame``, ``blap campaign run
---profile``, the "Self-time attribution" section of ``blap report``,
-and the top-span annotations on bench history entries.
+--profile`` and the "Self-time attribution" section of ``blap report``.
 """
 
 from __future__ import annotations

@@ -21,11 +21,12 @@ Layering:
   asyncio streams (server and client sides);
 * :mod:`repro.service.server` — :class:`IngestServer`, the routed
   HTTP/WebSocket front-end (``blap service serve``);
-* :mod:`repro.service.client` — asyncio client helpers shared by the
-  load generator, tests and CI smoke;
-* :mod:`repro.service.loadgen` — N concurrent synthetic clients
-  replaying campaign-produced captures (``blap service loadgen``),
-  recording sustained ingest throughput to ``BENCH_service.json``.
+* :mod:`repro.service.client` — asyncio client helpers shared by
+  tests and CI smoke.
+
+Sustained ingest throughput is measured by the ``service-ingest``
+workload of ``python3 bench/run.py``, which drives a
+:func:`~repro.service.server.run_server` child over loopback.
 
 Quick start::
 
@@ -53,12 +54,10 @@ from repro.service.session import (
     SessionManager,
 )
 from repro.service.server import IngestServer
-from repro.service.loadgen import LoadgenReport, run_loadgen
 
 __all__ = [
     "CaptureError",
     "IngestServer",
-    "LoadgenReport",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "Session",
@@ -69,5 +68,4 @@ __all__ = [
     "decode_capture",
     "frame_to_event",
     "frames_from_capture",
-    "run_loadgen",
 ]

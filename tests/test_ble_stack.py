@@ -186,6 +186,37 @@ class TestEncryption:
         assert enc.success
 
 
+class TestConcurrentPairs:
+    PAIRS = 20
+
+    def test_twenty_concurrent_pairs_complete(self):
+        """Connect, pair and encrypt 20 central/peripheral couples that
+        share one medium and event loop; every couple finishes."""
+        world = build_world(WorldConfig(seed=6100 + self.PAIRS))
+        couples = []
+        for i in range(self.PAIRS):
+            c = world.add_device(f"c{i:02d}", spec_by_key("galaxy_s21_dual"))
+            p = world.add_device(f"p{i:02d}", spec_by_key("nexus_5x_dual"))
+            c.power_on()
+            p.power_on()
+            couples.append((c, p))
+        world.run_for(1.0)
+        connects = [(c.ble.connect(p.bd_addr), c, p) for c, p in couples]
+        world.run_for(6.0)
+        pairings = []
+        for connect, c, p in connects:
+            assert connect.success, f"{c.name}: connect failed"
+            pairings.append((c.ble.pair(p.bd_addr), c, p))
+        world.run_for(8.0)
+        encryptions = []
+        for pairing, c, p in pairings:
+            assert pairing.success, f"{c.name}: pairing failed"
+            encryptions.append((c.ble.start_encryption(p.bd_addr), c))
+        world.run_for(4.0)
+        for enc, c in encryptions:
+            assert enc.success, f"{c.name}: encryption failed"
+
+
 class TestDeviceIntegration:
     def test_le_only_device_has_no_bredr_host_activity(self):
         world = build_world(WorldConfig(seed=3))

@@ -150,37 +150,3 @@ class TestScenarioSemantics:
 
         with pytest.raises(KeyError, match="unknown params"):
             scenario.merged_params(TrialConfig(seed=1, params={"nope": 1}))
-
-
-class TestWorldConfigDeprecation:
-    def test_legacy_seed_spelling_warns(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            world = build_world(seed=1)
-        assert world.devices == {}
-
-    def test_legacy_positional_seed_warns(self):
-        with pytest.warns(DeprecationWarning):
-            build_world(3)
-
-    def test_worldconfig_spelling_is_clean(self, recwarn):
-        build_world(WorldConfig(seed=1))
-        assert not [
-            w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
-        ]
-
-    def test_worldconfig_plus_legacy_args_rejected(self):
-        with pytest.raises(TypeError):
-            build_world(WorldConfig(seed=1), max_trace_records=5)
-
-    def test_positional_and_keyword_seed_rejected(self):
-        with pytest.raises(TypeError):
-            build_world(1, seed=2)
-
-    def test_legacy_and_new_build_identically(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = build_world(seed=9, max_trace_records=32)
-        modern = build_world(WorldConfig(seed=9, max_trace_records=32))
-        assert legacy.tracer.max_records == modern.tracer.max_records
-        legacy_m, _, _ = standard_cast(legacy)
-        modern_m, _, _ = standard_cast(modern)
-        assert legacy_m.bd_addr == modern_m.bd_addr

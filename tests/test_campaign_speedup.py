@@ -13,7 +13,6 @@ import time
 import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec
-from repro.core.bench import record_bench
 
 pytestmark = [
     pytest.mark.perf,
@@ -30,7 +29,7 @@ def _timed_run(workers: int, spec: CampaignSpec):
     elapsed = time.perf_counter() - started
     assert campaign.trials == len(list(spec.seeds))
     assert not campaign.errors
-    return elapsed, campaign
+    return elapsed
 
 
 def test_four_workers_at_least_twice_as_fast():
@@ -45,29 +44,9 @@ def test_four_workers_at_least_twice_as_fast():
     CampaignRunner(workers=1).run(
         CampaignSpec("page-blocking", seeds=[89_999])
     )
-    serial, _ = _timed_run(1, spec)
-    parallel, campaign = _timed_run(4, spec)
+    serial = _timed_run(1, spec)
+    parallel = _timed_run(4, spec)
     speedup = serial / parallel
-    # Annotate the bench with where the (simulated) time actually went,
-    # so a future `blap bench compare` regression names a culprit.
-    from repro.profile import top_self_time_spans
-
-    top = [
-        row["name"]
-        for row in top_self_time_spans(campaign.metrics.snapshot(), 5)
-    ]
-    record_bench(
-        "campaign",
-        "speedup",
-        {
-            "trials": 48,
-            "workers": 4,
-            "serial_s": serial,
-            "parallel_s": parallel,
-            "speedup": speedup,
-        },
-        spans=top,
-    )
     assert speedup >= 2.0, (
         f"4-worker speedup {speedup:.2f}x < 2x "
         f"(serial {serial:.2f}s, parallel {parallel:.2f}s)"

@@ -385,101 +385,6 @@ class TestReportCli:
         assert "<h2>Table II" in out
 
 
-class TestBenchCli:
-    @staticmethod
-    def _write(directory, name, data):
-        import json
-
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / f"BENCH_{name}.json").write_text(json.dumps(data))
-
-    def test_compare_flags_injected_regression(self, tmp_path, capsys):
-        self._write(tmp_path / "cur", "sim", {"loop": {"wall_s": 1.5}})
-        self._write(tmp_path / "base", "sim", {"loop": {"wall_s": 1.0}})
-        code = main(
-            [
-                "bench", "compare", str(tmp_path / "base"),
-                "--current", str(tmp_path / "cur"),
-            ]
-        )
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "REGRESSION sim/loop/wall_s: 1 -> 1.5 (+50%" in out
-
-    def test_compare_clean_baseline_exits_zero(self, tmp_path, capsys):
-        self._write(tmp_path / "cur", "sim", {"loop": {"wall_s": 1.1}})
-        self._write(tmp_path / "base", "sim", {"loop": {"wall_s": 1.0}})
-        assert main(
-            [
-                "bench", "compare", str(tmp_path / "base"),
-                "--current", str(tmp_path / "cur"),
-            ]
-        ) == 0
-        assert "no regressions" in capsys.readouterr().out
-
-    def test_compare_threshold_flag(self, tmp_path):
-        self._write(tmp_path / "cur", "sim", {"loop": {"wall_s": 1.1}})
-        self._write(tmp_path / "base", "sim", {"loop": {"wall_s": 1.0}})
-        assert main(
-            [
-                "bench", "compare", str(tmp_path / "base"),
-                "--current", str(tmp_path / "cur"),
-                "--threshold", "0.05",
-            ]
-        ) == 1
-
-    def test_compare_without_current_files_exits_two(self, tmp_path, capsys):
-        (tmp_path / "cur").mkdir()
-        assert main(
-            [
-                "bench", "compare", str(tmp_path / "base"),
-                "--current", str(tmp_path / "cur"),
-            ]
-        ) == 2
-        assert "no BENCH_*.json" in capsys.readouterr().err
-
-    def test_compare_without_baseline_overlap_exits_zero(
-        self, tmp_path, capsys
-    ):
-        self._write(tmp_path / "cur", "sim", {"loop": {"wall_s": 9.0}})
-        assert main(
-            [
-                "bench", "compare", str(tmp_path / "base"),
-                "--current", str(tmp_path / "cur"),
-            ]
-        ) == 0
-        assert "nothing to compare" in capsys.readouterr().out
-
-    def test_compare_json_output(self, tmp_path, capsys):
-        import json
-
-        self._write(tmp_path / "cur", "sim", {"loop": {"wall_s": 2.0}})
-        self._write(tmp_path / "base", "sim", {"loop": {"wall_s": 1.0}})
-        assert main(
-            [
-                "bench", "compare", str(tmp_path / "base"),
-                "--current", str(tmp_path / "cur"), "--json",
-            ]
-        ) == 1
-        (reg,) = json.loads(capsys.readouterr().out)
-        assert reg["key"] == "wall_s" and reg["direction"] == "lower"
-
-    def test_history_prints_recorded_entries(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        from repro.core.bench import record_bench
-
-        monkeypatch.setenv("BLAP_BENCH_DIR", str(tmp_path))
-        record_bench("sim", "loop", {"wall_s": 0.25, "events": 9})
-        assert main(["bench", "history", "--dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "sim/loop" in out and "wall_s=0.25" in out
-
-    def test_history_empty_exits_nonzero(self, tmp_path, capsys):
-        assert main(["bench", "history", "--dir", str(tmp_path)]) == 1
-        assert "no bench history" in capsys.readouterr().err
-
-
 class TestProfileCli:
     def test_profile_run_writes_artifacts(self, tmp_path, capsys):
         out_dir = tmp_path / "prof"
@@ -594,34 +499,3 @@ class TestReportJsonFormat:
         assert payload["format"] == 1
         attribution = payload["attribution"]
         assert attribution["total_self_s"] <= attribution["root_wall_s"]
-
-
-class TestBenchSpanAnnotations:
-    def test_compare_names_culprit_spans(self, tmp_path, capsys):
-        import json
-
-        for sub, wall in (("cur", 2.0), ("base", 1.0)):
-            directory = tmp_path / sub
-            directory.mkdir()
-            data = {"loop": {"wall_s": wall}}
-            if sub == "cur":
-                data["_spans"] = {"loop": ["attack.page_blocking", "phy"]}
-            (directory / "BENCH_sim.json").write_text(json.dumps(data))
-        assert main(
-            [
-                "bench", "compare", str(tmp_path / "base"),
-                "--current", str(tmp_path / "cur"),
-            ]
-        ) == 1
-        out = capsys.readouterr().out
-        assert "top self-time spans: attack.page_blocking, phy" in out
-
-    def test_history_appends_span_note(self, tmp_path, monkeypatch, capsys):
-        from repro.core.bench import record_bench
-
-        monkeypatch.setenv("BLAP_BENCH_DIR", str(tmp_path))
-        record_bench(
-            "sim", "loop", {"wall_s": 0.25}, spans=["hci", "phy"],
-        )
-        assert main(["bench", "history", "--dir", str(tmp_path)]) == 0
-        assert "spans=hci,phy" in capsys.readouterr().out

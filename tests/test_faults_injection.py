@@ -1,5 +1,5 @@
-"""Tests: live fault injection — every catalogued point, determinism,
-timeline integration and the deprecated ``loss_rate`` shim."""
+"""Tests: live fault injection — every catalogued point, determinism
+and timeline integration."""
 
 import math
 

@@ -8,22 +8,18 @@ on a 10k-event run.
 
 Timing discipline: one discarded warm-up run (first-call costs —
 allocator growth, bytecode specialisation, branch warm-up — land
-there), then the *median* of the repeats.  The old min-of-repeats
-divided the best-case outlier of one distribution by the best-case
-outlier of another, so the recorded enabled-overhead ratio swung from
-~14% to ~54% run to run.  Warm-up + median compares typical runs to
-typical runs and lands reproducibly near ~40% (``BENCH_obs.json``
-records 0.41) — the honest post-instrument-caching figure (down from
-the pre-caching 57%); the ~11% once claimed in the changelog was
-itself a lucky-minimum artifact.
+there), then the *median* of the repeats, so typical runs are compared
+to typical runs rather than one distribution's best-case outlier to
+another's.
 
 The span-tracker guard charges spans separately from metrics: the
 tracker's own open/close bookkeeping (parent linkage, self-time
 accounting, timeline record) is measured against a disabled registry,
 and the metrics observation it feeds (the three histogram families of
-``Observability._observe_span``) against an enabled one — so
-``BENCH_obs.json`` attributes "span overhead" and "metrics overhead"
-to their actual owners instead of one conflated number.
+``Observability._observe_span``) against an enabled one.
+
+These are bounds, not measurements: wall-clock cost per layer on real
+trials is reported by ``python3 bench/run.py --trace``.
 """
 
 import statistics
@@ -31,7 +27,6 @@ import time
 
 import pytest
 
-from repro.core.bench import record_bench
 from repro.obs import Observability
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.eventloop import Simulator
@@ -71,16 +66,6 @@ def _median_of(metrics_factory) -> float:
 def test_disabled_registry_under_five_percent_overhead():
     bare = _median_of(lambda: None)
     disabled = _median_of(lambda: MetricsRegistry(enabled=False))
-    record_bench(
-        "campaign",
-        "obs_overhead_disabled",
-        {
-            "events": EVENTS,
-            "bare_s": bare,
-            "disabled_s": disabled,
-            "overhead": disabled / bare - 1,
-        },
-    )
     # 0.5 ms absolute slack keeps sub-millisecond timer jitter from
     # failing runs where 5% of the baseline is only a few hundred µs.
     assert disabled <= bare * 1.05 + 0.0005, (
@@ -93,28 +78,6 @@ def test_disabled_registry_under_five_percent_overhead():
 def test_enabled_registry_stays_cheap_enough_for_benchmarks():
     bare = _median_of(lambda: None)
     enabled = _median_of(MetricsRegistry)
-    record_bench(
-        "campaign",
-        "obs_overhead_enabled",
-        {
-            "events": EVENTS,
-            "bare_s": bare,
-            "enabled_s": enabled,
-            "overhead": enabled / bare - 1,
-        },
-    )
-    record_bench(
-        "obs",
-        "hot_loop_overhead",
-        {
-            "events": EVENTS,
-            # the last measurement before histogram observations were
-            # buffered and the loop's counter/gauge flushed once per
-            # run (per-event inc/set + eager bucket fold)
-            "before_overhead": 0.5705,
-            "after_overhead": enabled / bare - 1,
-        },
-    )
     # Live counters + the wall-time histogram may cost real work, but
     # "cheap enough to stay on in benchmarks" means small-multiple, not
     # order-of-magnitude.
@@ -145,17 +108,6 @@ def test_span_tracker_overhead_split_from_metrics():
     )
     with_metrics = _median_spans(
         lambda: Observability(registry=MetricsRegistry())
-    )
-    record_bench(
-        "obs",
-        "span_overhead",
-        {
-            "spans": SPANS,
-            "tracker_s": tracker_only,
-            "with_metrics_s": with_metrics,
-            "metrics_overhead": with_metrics / tracker_only - 1,
-        },
-        spans=["outer", "inner"],
     )
     # Three cached-histogram observes per close on top of the tracker's
     # bookkeeping: small-multiple, never order-of-magnitude.

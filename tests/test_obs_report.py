@@ -164,7 +164,6 @@ class TestRenderMarkdown:
                 },
             }
         }
-        bench = {"sim": {"hot_loop": {"events_per_s": 125000.0, "events": 9}}}
         telemetry = [
             {
                 "scenario": "baseline-race",
@@ -176,13 +175,9 @@ class TestRenderMarkdown:
             }
             for seed in range(4)
         ]
-        text = render_markdown(
-            _synthetic_data(), roc=roc, bench=bench, telemetry=telemetry
-        )
+        text = render_markdown(_synthetic_data(), roc=roc, telemetry=telemetry)
         assert "## Detector operating points" in text
         assert "| rate-anomaly | page-blocking | 0.5 | 95% | 2% | 1.25s |" in text
-        assert "### BENCH_sim" in text
-        assert "| hot_loop | events_per_s | 125000 |" in text
         assert "## Run telemetry" in text
         assert "4 trial records (2 successes, 1 cache hits)" in text
         # slowest trial listed first
@@ -195,7 +190,6 @@ class TestRenderMarkdown:
         text = render_markdown(_synthetic_data())
         for heading in (
             "## Detector operating points",
-            "## Benchmark numbers",
             "## Run telemetry",
         ):
             assert heading not in text
@@ -221,7 +215,7 @@ class TestRenderJson:
         paths = [tuple(row["path"]) for row in attribution["rows"]]
         assert ("pairing", "inquiry", "page") in paths
         # optional sections absent unless provided
-        for key in ("roc", "bench", "telemetry"):
+        for key in ("roc", "telemetry"):
             assert key not in payload
 
     def test_optional_sections_included(self):
@@ -230,14 +224,12 @@ class TestRenderJson:
         payload = json.loads(
             render_json(
                 _synthetic_data(),
-                bench={"sim": {"hot_loop": {"events_per_s": 1.0}}},
                 telemetry=[
                     {"scenario": "extraction", "seed": 1, "success": True,
                      "wall_time_s": 0.1, "cached": False},
                 ],
             )
         )
-        assert payload["bench"]["sim"]["hot_loop"]["events_per_s"] == 1.0
         assert payload["telemetry"]["trials"] == 1
 
 
@@ -286,11 +278,7 @@ class TestGenerateReport:
             assert spec.marketing_name in warm
         assert "Self-time attribution" in warm
 
-    def test_artifact_sections_are_wired_through(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BLAP_BENCH_DIR", str(tmp_path / "bench"))
-        from repro.core.bench import record_bench
-
-        record_bench("demo", "loop", {"wall_s": 0.5})
+    def test_artifact_sections_are_wired_through(self, tmp_path):
         roc_path = tmp_path / "roc.json"
         roc_path.write_text(json.dumps({
             "burst": {
@@ -311,10 +299,8 @@ class TestGenerateReport:
             CampaignRunner(workers=1, cache=cache),
             trials=1,
             roc_path=roc_path,
-            bench_directory=tmp_path / "bench",
             run_dir=run_dir,
             html=True,
         )
-        assert "<h3>BENCH_demo</h3>" in text
         assert "<h2>Detector operating points</h2>" in text
         assert "<h2>Run telemetry</h2>" in text

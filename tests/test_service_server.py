@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.campaign.captures import attack_capture
+from repro.campaign.captures import attack_capture, benign_capture
 from repro.detect import replay_capture
 from repro.service import client as service_client
 from repro.service.server import IngestServer, enqueue_or_shed
@@ -210,6 +210,49 @@ class TestWebSocket:
 
         run(with_server(check))
 
+    def test_concurrent_streams_match_replay_per_tenant(self, attack_bytes):
+        """20 interleaved streams over 4 tenants through one server:
+        every verdict equals the offline replay of its own capture (an
+        alert leaking between sessions would break that), and the
+        sessions split evenly across tenants."""
+        captures = [attack_bytes, benign_capture()]
+        offline = [
+            json.dumps(
+                [alert.to_dict() for alert in replay_capture(c).alerts],
+                sort_keys=True,
+            )
+            for c in captures
+        ]
+        sessions, tenants = 20, 4
+
+        async def check(server):
+            return await asyncio.gather(
+                *(
+                    service_client.stream_capture(
+                        server.host,
+                        server.port,
+                        captures[index % len(captures)],
+                        tenant=f"t{index % tenants}",
+                    )
+                    for index in range(sessions)
+                )
+            )
+
+        verdicts = run(with_server(check))
+        assert len({verdict["session"] for verdict in verdicts}) == sessions
+        for index, verdict in enumerate(verdicts):
+            assert verdict["tenant"] == f"t{index % tenants}"
+            assert verdict["dropped_events"] == 0
+            assert (
+                json.dumps(verdict["alerts"], sort_keys=True)
+                == offline[index % len(captures)]
+            )
+        per_tenant = [
+            sum(1 for verdict in verdicts if verdict["tenant"] == f"t{t}")
+            for t in range(tenants)
+        ]
+        assert per_tenant == [sessions // tenants] * tenants
+
     def test_listing_shows_open_stream(self):
         async def check(server):
             ws, welcome = await service_client.open_stream(
@@ -346,30 +389,6 @@ class TestBackpressure:
 
 
 class TestServiceCli:
-    def test_loadgen_self_hosted(self, capsys, tmp_path, monkeypatch):
-        from repro.cli import main
-
-        monkeypatch.setenv("BLAP_BENCH_DIR", str(tmp_path))
-        assert (
-            main(
-                [
-                    "service", "loadgen",
-                    "--sessions", "6",
-                    "--tenants", "2",
-                    "--captures", "2",
-                    "--bench",
-                    "--json",
-                ]
-            )
-            == 0
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["sessions"] == 6
-        assert payload["failures"] == 0
-        bench = json.loads((tmp_path / "BENCH_service.json").read_text())
-        assert bench["loadgen"]["ingest_events_per_s"] > 0
-        assert (tmp_path / "BENCH_HISTORY.jsonl").exists()
-
     def test_sessions_against_dead_server_is_operator_error(self, capsys):
         from repro.cli import main
 
